@@ -12,21 +12,11 @@ let exp_seconds agg =
       else None)
     (Fbb_obs.Aggregate.span_rows agg)
 
-(* Telemetry self-cost gauges ride along informationally (never gated):
-   bench-compare reports them so a sampler-overhead regression shows up
-   in the same diff as the solver timings. *)
-let telemetry_gauges () =
-  List.filter
-    (fun (name, _) ->
-      String.length name >= 14 && String.sub name 0 14 = "obs.telemetry.")
-    (Fbb_obs.Counter.Gauge.values ())
-
 let record agg =
   Fbb_obs.Benchfile.make
     ~jobs:(Fbb_par.Pool.jobs ())
     ~experiments:(exp_seconds agg)
     ~counters:(Fbb_obs.Counter.totals ())
-    ~gauges:(telemetry_gauges ())
     ~pool:(Fbb_par.Pool.utilization ())
     agg
 

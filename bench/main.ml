@@ -2,9 +2,6 @@
    Run all experiments with [dune exec bench/main.exe], or one of them
    with [dune exec bench/main.exe -- <name>]. Options:
    --jobs N         domain-pool width (also FBB_JOBS; flag wins)
-   --telemetry P    serve GET /metrics + /snapshot.json on port P while
-                    the experiments run (watch with [fbbopt top])
-   --telemetry-tick-ms MS  sampler period (default 500)
    Environment:
    FBB_ILP_SECONDS  per-(design, beta, C) ILP budget (default 90)
    FBB_MC_SAMPLES   Monte-Carlo dies per design in [yield] (default 50) *)
@@ -30,8 +27,7 @@ let experiments =
 
 let usage () =
   print_endline
-    "usage: main.exe [--jobs N] [--telemetry PORT [--telemetry-tick-ms MS]] \
-     [experiment ...]";
+    "usage: main.exe [--jobs N] [experiment ...]";
   print_endline "experiments:";
   List.iter
     (fun (name, doc, _) -> Printf.printf "  %-8s %s\n" name doc)
@@ -55,9 +51,6 @@ let timing_table agg =
       rows;
     Fbb_util.Texttab.print tab
 
-let telemetry_port = ref None
-let telemetry_tick_ms = ref 500.0
-
 let rec parse_args = function
   | "--jobs" :: n :: rest -> (
     match int_of_string_opt n with
@@ -70,64 +63,16 @@ let rec parse_args = function
   | [ "--jobs" ] ->
     print_endline "--jobs expects a positive integer";
     exit 1
-  | "--telemetry" :: p :: rest -> (
-    match int_of_string_opt p with
-    | Some port when port >= 0 ->
-      telemetry_port := Some port;
-      parse_args rest
-    | Some _ | None ->
-      Printf.printf "--telemetry expects a port number, got %s\n" p;
-      exit 1)
-  | [ "--telemetry" ] ->
-    print_endline "--telemetry expects a port number";
-    exit 1
-  | "--telemetry-tick-ms" :: ms :: rest -> (
-    match float_of_string_opt ms with
-    | Some tick when tick > 0.0 ->
-      telemetry_tick_ms := tick;
-      parse_args rest
-    | Some _ | None ->
-      Printf.printf "--telemetry-tick-ms expects a positive number, got %s\n"
-        ms;
-      exit 1)
-  | [ "--telemetry-tick-ms" ] ->
-    print_endline "--telemetry-tick-ms expects a positive number";
-    exit 1
   | args -> args
 
 let () =
   let args = parse_args (List.tl (Array.to_list Sys.argv)) in
   let agg = Fbb_obs.Aggregate.create () in
   Fbb_obs.Sink.install (Fbb_obs.Aggregate.sink agg);
-  let telemetry =
-    match !telemetry_port with
-    | None -> None
-    | Some port -> (
-      let sampler =
-        Fbb_obs.Telemetry.start ~tick_s:(!telemetry_tick_ms /. 1000.0) ()
-      in
-      match Fbb_obs.Telemetry.serve ~port () with
-      | Error msg ->
-        Fbb_obs.Telemetry.stop sampler;
-        Printf.eprintf "bench: telemetry: %s\n%!" msg;
-        exit 1
-      | Ok srv ->
-        Printf.eprintf "bench: telemetry on http://127.0.0.1:%d/metrics\n%!"
-          (Fbb_obs.Telemetry.port srv);
-        Some (sampler, srv))
-  in
   Fun.protect ~finally:(fun () ->
       (* Utilization gauges land while the aggregate sink is still
-         installed, so the session record carries them. Stopping the
-         sampler runs one final pass, so its obs.telemetry.* self-cost
-         gauges are current when Baseline.save snapshots them into the
-         bench record. *)
+         installed, so the session record carries them. *)
       Fbb_par.Pool.publish_utilization ();
-      Option.iter
-        (fun (sampler, srv) ->
-          Fbb_obs.Telemetry.stop sampler;
-          Fbb_obs.Telemetry.shutdown srv)
-        telemetry;
       Fbb_obs.Sink.clear ();
       timing_table agg;
       Baseline.save agg)

@@ -59,15 +59,6 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let telemetry_arg =
-  let doc =
-    "Serve live telemetry on $(docv) while fuzzing: a background sampler \
-     snapshots counters/gauges/span histograms into ring buffers and a \
-     $(b,GET /metrics) (Prometheus text) + $(b,GET /snapshot.json) endpoint \
-     exposes them (watch with $(b,fbbopt top))."
-  in
-  Arg.(value & opt (some int) None & info [ "telemetry" ] ~docv:"PORT" ~doc)
-
 let faults_arg =
   let doc =
     "Inject deterministic faults at rate $(b,RATE) with seed $(b,SEED) and \
@@ -242,12 +233,11 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
   Fbb_fault.Fault.install_io_faults ();
   Printf.printf "fault injection: rate %g, seed %d\n%!" rate fault_seed;
   let total = ref 0 and failed = ref 0 and infeasible = ref 0 in
-  let stage_counts = Array.make 4 0 in
+  let stage_counts = Array.make 3 0 in
   let stage_idx = function
     | Cascade.Ilp -> 0
-    | Cascade.Bb -> 1
-    | Cascade.Heuristic -> 2
-    | Cascade.Single_bb -> 3
+    | Cascade.Heuristic -> 1
+    | Cascade.Single_bb -> 2
   in
   let failing = ref [] in
   let consider ~origin case =
@@ -315,10 +305,10 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
           (Printexc.to_string e))
     (List.rev !failing);
   Printf.printf
-    "fault fuzz summary: %d case(s); stages ilp=%d bb=%d heuristic=%d \
+    "fault fuzz summary: %d case(s); stages ilp=%d heuristic=%d \
      single_bb=%d; %d infeasible; %d failure(s)\n%!"
-    !total stage_counts.(0) stage_counts.(1) stage_counts.(2) stage_counts.(3)
-    !infeasible !failed;
+    !total stage_counts.(0) stage_counts.(1) stage_counts.(2) !infeasible
+    !failed;
   Printf.printf "fault stats (injected/evaluated):\n%!";
   List.iter
     (fun (site, evals, injections) ->
@@ -333,7 +323,7 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
   end
 
 let fuzz cases seed shrink corpus_dir repro_dir metamorphic ilp_seconds jobs
-    verbose trace telemetry faults =
+    verbose trace faults =
   Option.iter Fbb_par.Pool.set_jobs jobs;
   let corpus = load_corpus corpus_dir in
   let run () =
@@ -345,45 +335,20 @@ let fuzz cases seed shrink corpus_dir repro_dir metamorphic ilp_seconds jobs
       fuzz_body cases seed shrink corpus repro_dir metamorphic ilp_seconds
         verbose
   in
-  let with_trace run =
-    match trace with
-    | None -> run ()
-    | Some path ->
-      (* Same sink discipline as fbbopt: trace the whole run under one
-         root span, publish pool utilization while the sink is still
-         installed, and close (fsync) the file even if the run raises. *)
-      let jsonl = Fbb_obs.Jsonl.create path in
-      Fbb_obs.Sink.install (Fbb_obs.Jsonl.sink jsonl);
-      Fun.protect
-        ~finally:(fun () ->
-          Fbb_par.Pool.publish_utilization ();
-          Fbb_obs.Sink.clear ();
-          Fbb_obs.Jsonl.close jsonl)
-        (fun () -> Fbb_obs.Span.with_ ~name:"fbbfuzz.run" run)
-  in
-  match telemetry with
-  | None -> with_trace run
-  | Some port -> (
-    (* Span histograms only record while a sink is installed; with no
-       --trace the null sink turns instrumentation on for the sampler. *)
-    if trace = None then Fbb_obs.Sink.install Fbb_obs.Sink.null;
-    let sampler = Fbb_obs.Telemetry.start () in
-    match Fbb_obs.Telemetry.serve ~port () with
-    | Error msg ->
-      Fbb_obs.Telemetry.stop sampler;
-      if trace = None then Fbb_obs.Sink.clear ();
-      Printf.eprintf "fbbfuzz: telemetry: %s\n%!" msg;
-      2
-    | Ok srv ->
-      Printf.eprintf "fbbfuzz: telemetry on http://127.0.0.1:%d/metrics\n%!"
-        (Fbb_obs.Telemetry.port srv);
-      Fun.protect
-        ~finally:(fun () ->
-          Fbb_par.Pool.publish_utilization ();
-          Fbb_obs.Telemetry.stop sampler;
-          Fbb_obs.Telemetry.shutdown srv;
-          if trace = None then Fbb_obs.Sink.clear ())
-        (fun () -> with_trace run))
+  match trace with
+  | None -> run ()
+  | Some path ->
+    (* Same sink discipline as fbbopt: trace the whole run under one
+       root span, publish pool utilization while the sink is still
+       installed, and close (fsync) the file even if the run raises. *)
+    let jsonl = Fbb_obs.Jsonl.create path in
+    Fbb_obs.Sink.install (Fbb_obs.Jsonl.sink jsonl);
+    Fun.protect
+      ~finally:(fun () ->
+        Fbb_par.Pool.publish_utilization ();
+        Fbb_obs.Sink.clear ();
+        Fbb_obs.Jsonl.close jsonl)
+      (fun () -> Fbb_obs.Span.with_ ~name:"fbbfuzz.run" run)
 
 let () =
   let info =
@@ -396,6 +361,6 @@ let () =
     Term.(
       const fuzz $ cases_arg $ seed_arg $ shrink_arg $ corpus_dir_arg
       $ repro_dir_arg $ metamorphic_arg $ ilp_seconds_arg $ jobs_arg
-      $ verbose_arg $ trace_arg $ telemetry_arg $ faults_arg)
+      $ verbose_arg $ trace_arg $ faults_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

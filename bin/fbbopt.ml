@@ -9,10 +9,11 @@
      recover       - active leakage recovery with reverse body bias
      trace         - offline converters for recorded JSONL traces
      bench-compare - diff two bench.json records, gate on regressions
-     serve-metrics - live /metrics + /snapshot.json endpoint, optionally
-                     driving a cascade workload (the fbbd seed)
      top           - live TTY dashboard over a telemetry endpoint
-     scrape        - fetch + validate a telemetry endpoint (CI smoke) *)
+     scrape        - fetch + validate a telemetry endpoint (CI smoke)
+
+   Live telemetry is served by [fbbd serve --metrics-port]; [top] and
+   [scrape] are its clients. *)
 
 open Cmdliner
 
@@ -90,31 +91,15 @@ let profile_csv_arg =
   Arg.(
     value & opt (some string) None & info [ "profile-csv" ] ~docv:"FILE" ~doc)
 
-let telemetry_arg =
-  let doc =
-    "Serve live telemetry ($(b,GET /metrics) Prometheus text, \
-     $(b,GET /snapshot.json)) on 127.0.0.1:$(docv) for the duration of the \
-     command; 0 picks an ephemeral port. Scrape with $(b,fbbopt scrape) or \
-     watch with $(b,fbbopt top)."
-  in
-  Arg.(value & opt (some int) None & info [ "telemetry" ] ~docv:"PORT" ~doc)
-
-let telemetry_tick_arg =
-  let doc = "Telemetry sampler tick in milliseconds." in
-  Arg.(
-    value & opt float 500.0 & info [ "telemetry-tick-ms" ] ~docv:"MS" ~doc)
-
 module Obs_cli = struct
   type t = {
     aggregate : Fbb_obs.Aggregate.t option;
     jsonl : Fbb_obs.Jsonl.t option;
     profile : bool;
     profile_csv : string option;
-    telemetry : (Fbb_obs.Telemetry.sampler * Fbb_obs.Telemetry.server) option;
   }
 
-  let start ?telemetry ?(telemetry_tick_ms = 500.0) ~trace ~profile
-      ~profile_csv () =
+  let start ~trace ~profile ~profile_csv =
     let aggregate =
       if profile || profile_csv <> None then Some (Fbb_obs.Aggregate.create ())
       else None
@@ -128,42 +113,15 @@ module Obs_cli = struct
         ]
     in
     (match sinks with
-    | [] ->
-      (* Telemetry feeds on the span-duration histograms, which only
-         populate while a sink is installed — give it the null sink
-         rather than silently serving empty percentiles. *)
-      if telemetry <> None then Fbb_obs.Sink.install Fbb_obs.Sink.null
+    | [] -> ()
     | s :: rest ->
       Fbb_obs.Sink.install (List.fold_left Fbb_obs.Sink.tee s rest));
-    let telemetry =
-      Option.map
-        (fun port ->
-          let sampler =
-            Fbb_obs.Telemetry.start ~tick_s:(telemetry_tick_ms /. 1000.0) ()
-          in
-          match Fbb_obs.Telemetry.serve ~port () with
-          | Error msg ->
-            Fbb_obs.Telemetry.stop sampler;
-            raise (Sys_error ("telemetry: " ^ msg))
-          | Ok srv ->
-            Printf.eprintf "telemetry: serving http://127.0.0.1:%d/metrics\n%!"
-              (Fbb_obs.Telemetry.port srv);
-            (sampler, srv))
-        telemetry
-    in
-    { aggregate; jsonl; profile; profile_csv; telemetry }
+    { aggregate; jsonl; profile; profile_csv }
 
   let finish t =
     (* Pool utilization gauges must land while the sinks are still
-       installed so they reach the trace and the profile report; the
-       sampler's final pass (in [stop]) then captures them, and the
-       obs.telemetry.* gauges it sets, into the aggregate too. *)
+       installed so they reach the trace and the profile report. *)
     Fbb_par.Pool.publish_utilization ();
-    Option.iter
-      (fun (sampler, srv) ->
-        Fbb_obs.Telemetry.stop sampler;
-        Fbb_obs.Telemetry.shutdown srv)
-      t.telemetry;
     Fbb_obs.Sink.clear ();
     Option.iter Fbb_obs.Jsonl.close t.jsonl;
     Option.iter
@@ -180,8 +138,8 @@ module Obs_cli = struct
      Context (so every span, including those on pool workers, carries
      one trace id) wrapped in a top-level span so the report's first
      line accounts for (nearly) the full wall clock. *)
-  let run ?telemetry ?telemetry_tick_ms ~span ~trace ~profile ~profile_csv f =
-    let t = start ?telemetry ?telemetry_tick_ms ~trace ~profile ~profile_csv () in
+  let run ~span ~trace ~profile ~profile_csv f =
+    let t = start ~trace ~profile ~profile_csv in
     let ctx = Fbb_obs.Context.make () in
     if trace <> None then
       Printf.eprintf "trace id: %s\n%!" ctx.Fbb_obs.Context.trace;
@@ -442,8 +400,8 @@ let optimize_cascade design file beta_pct clusters rows ~deadline_ms ~work svg
 
 let cascade_arg =
   let doc =
-    "Run the anytime fallback cascade (ilp, budgeted B&B, heuristic, single \
-     BB) with independent sign-off instead of the refinement flow. Implied \
+    "Run the anytime fallback cascade (ilp, heuristic, single BB) with \
+     independent sign-off instead of the refinement flow. Implied \
      by $(b,--deadline-ms) and $(b,--work-budget)."
   in
   Arg.(value & flag & info [ "cascade" ] ~doc)
@@ -465,12 +423,12 @@ let work_budget_arg =
 
 let optimize_cmd =
   let run d f b c r i s svg ascii cascade deadline_ms work jobs trace profile
-      profile_csv telemetry telemetry_tick_ms =
+      profile_csv =
     set_jobs jobs;
     let use_cascade = cascade || deadline_ms <> None || work <> None in
     match
-      Obs_cli.run ?telemetry ~telemetry_tick_ms ~span:"fbbopt.optimize" ~trace
-        ~profile ~profile_csv (fun () ->
+      Obs_cli.run ~span:"fbbopt.optimize" ~trace ~profile ~profile_csv
+        (fun () ->
           if use_cascade then
             optimize_cascade d f b c r ~deadline_ms ~work svg ascii
           else optimize d f b c r i s svg ascii)
@@ -487,8 +445,7 @@ let optimize_cmd =
         (const run $ design_arg $ bench_file_arg $ beta_arg $ clusters_arg
         $ rows_arg $ ilp_arg $ ilp_seconds_arg $ svg_arg $ ascii_arg
         $ cascade_arg $ deadline_arg $ work_budget_arg
-        $ jobs_arg $ trace_arg $ profile_arg $ profile_csv_arg
-        $ telemetry_arg $ telemetry_tick_arg))
+        $ jobs_arg $ trace_arg $ profile_arg $ profile_csv_arg))
 
 (* ----- tune ------------------------------------------------------------- *)
 
@@ -745,110 +702,15 @@ let bench_compare_cmd =
           missing/unreadable data")
     Term.(const run $ old_arg $ new_arg $ max_regress_arg)
 
-(* ----- serve-metrics ---------------------------------------------------- *)
-
-(* The fbbd seed: stand up the telemetry plane and (optionally) keep a
-   deadline-bounded cascade workload running under it, one traced
-   request per solve, until the duration elapses or SIGINT. *)
-
-let port_arg =
-  let doc = "TCP port to listen on (0 = ephemeral)." in
-  Arg.(value & opt int 9619 & info [ "p"; "port" ] ~docv:"PORT" ~doc)
-
-let duration_arg =
-  let doc = "Stop after $(docv) seconds (0 = run until interrupted)." in
-  Arg.(value & opt float 0.0 & info [ "duration-s" ] ~docv:"S" ~doc)
-
-let serve_deadline_arg =
-  let doc = "Per-request cascade deadline in milliseconds." in
-  Arg.(value & opt float 200.0 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-
-let serve_metrics design file rows beta_pct clusters ~deadline_ms ~duration_s
-    ~port ~tick_ms =
-  (* Spans only record histograms while a sink is installed; the null
-     sink turns instrumentation on without writing anything. *)
-  Fbb_obs.Sink.install Fbb_obs.Sink.null;
-  let sampler = Fbb_obs.Telemetry.start ~tick_s:(tick_ms /. 1000.0) () in
-  let* srv =
-    match Fbb_obs.Telemetry.serve ~port () with
-    | Ok srv -> Ok srv
-    | Error msg ->
-      Fbb_obs.Telemetry.stop sampler;
-      Fbb_obs.Sink.clear ();
-      Error msg
-  in
-  Printf.printf "serving http://127.0.0.1:%d/metrics (tick %.0f ms)\n%!"
-    (Fbb_obs.Telemetry.port srv) tick_ms;
-  let deadline = Float.max 0.0 deadline_ms /. 1000.0 in
-  let stop_at =
-    if duration_s > 0.0 then Some (Fbb_obs.Clock.now_s () +. duration_s)
-    else None
-  in
-  let keep_going () =
-    match stop_at with
-    | Some t -> Fbb_obs.Clock.now_s () < t
-    | None -> true
-  in
-  let result =
-    match (design, file) with
-    | None, None ->
-      (* No workload: serve whatever the registries already hold. *)
-      while keep_going () do
-        Unix.sleepf 0.2
-      done;
-      Ok ()
-    | _ ->
-      let* pl = load_placement ~design ~file ~rows in
-      report_placement pl;
-      let p = Fbb_core.Problem.build ~beta:(beta_pct /. 100.0) pl in
-      Printf.printf
-        "workload: cascade (C=%d) every request, deadline %.0f ms\n%!" clusters
-        deadline_ms;
-      let requests = Fbb_obs.Counter.make "serve.requests" in
-      while keep_going () do
-        Fbb_obs.Counter.incr requests;
-        Fbb_obs.Context.with_ (Fbb_obs.Context.make ()) (fun () ->
-            Fbb_obs.Span.with_ ~name:"serve.request" (fun () ->
-                ignore
-                  (Fbb_core.Cascade.solve ~max_clusters:clusters
-                     ~budget:(Fbb_util.Budget.create ~deadline_s:deadline ())
-                     p)))
-      done;
-      Ok ()
-  in
-  Fbb_obs.Telemetry.shutdown srv;
-  Fbb_obs.Telemetry.stop sampler;
-  Fbb_par.Pool.publish_utilization ();
-  Fbb_obs.Sink.clear ();
-  result
-
-let serve_metrics_cmd =
-  let run d f r b c deadline_ms duration_s port tick_ms jobs =
-    set_jobs jobs;
-    match serve_metrics d f r b c ~deadline_ms ~duration_s ~port ~tick_ms with
-    | Ok () -> `Ok ()
-    | Error m -> `Error (false, m)
-    | exception Sys_error m -> `Error (false, m)
-  in
-  Cmd.v
-    (Cmd.info "serve-metrics"
-       ~doc:
-         "Serve live telemetry (GET /metrics Prometheus text, GET \
-          /snapshot.json), optionally driving a deadline-bounded cascade \
-          workload — the seed of the fbbd service")
-    Term.(
-      ret
-        (const run $ design_arg $ bench_file_arg $ rows_arg $ beta_arg
-        $ clusters_arg $ serve_deadline_arg $ duration_arg $ port_arg
-        $ telemetry_tick_arg $ jobs_arg))
-
 (* ----- top -------------------------------------------------------------- *)
 
 let url_arg =
-  let doc = "Base URL of a telemetry endpoint." in
+  let doc =
+    "Base URL of a telemetry endpoint ($(b,fbbd serve --metrics-port))."
+  in
   Arg.(
     value
-    & opt string "http://127.0.0.1:9619"
+    & opt string "http://127.0.0.1:9621"
     & info [ "u"; "url" ] ~docv:"URL" ~doc)
 
 (* One dashboard frame from a /snapshot.json document: a header line
@@ -978,7 +840,7 @@ let scrape_cmd =
     let doc = "Base URL of a telemetry endpoint." in
     Arg.(
       value
-      & pos 0 string "http://127.0.0.1:9619"
+      & pos 0 string "http://127.0.0.1:9621"
       & info [] ~docv:"URL" ~doc)
   in
   let max_overhead_arg =
@@ -1070,7 +932,6 @@ let () =
             recover_cmd;
             trace_cmd;
             bench_compare_cmd;
-            serve_metrics_cmd;
             top_cmd;
             scrape_cmd;
           ]))

@@ -3,10 +3,11 @@
 
     The cascade runs the stages
 
-    {v ilp -> budgeted B&B -> heuristic -> single BB v}
+    {v ilp -> heuristic -> single BB v}
 
     under one shared {!Fbb_util.Budget}, carving each stage a fraction
-    of whatever allowance remains when it starts. A stage's candidate
+    of whatever allowance remains when it starts: the subset-enumerating
+    ILP gets half, the heuristic the rest. A stage's candidate
     is only {e accepted} after an independent sign-off — a plain-loop
     feasibility, range and cluster-count check that shares nothing with
     the solvers' incremental machinery — and the first signed-off
@@ -27,10 +28,10 @@
     stage entry; when it fires the stage is skipped as if its budget
     had already tripped. *)
 
-type stage = Ilp | Bb | Heuristic | Single_bb
+type stage = Ilp | Heuristic | Single_bb
 
 val stage_name : stage -> string
-(** ["ilp"], ["bb"], ["heuristic"], ["single_bb"]. *)
+(** ["ilp"], ["heuristic"], ["single_bb"]. *)
 
 type status =
   | Accepted  (** candidate passed sign-off and won *)

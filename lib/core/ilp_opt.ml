@@ -97,7 +97,7 @@ let reduce_paths p =
   Fbb_obs.Counter.add constraints_dropped_c (m - List.length kept);
   kept
 
-let formulate ?(reduce = true) ~max_clusters p =
+let formulate ~kept ~max_clusters p =
   Fbb_obs.Span.with_ ~name:"ilp.formulate" @@ fun () ->
   let nrows = Problem.num_rows p in
   let nlev = Problem.num_levels p in
@@ -110,10 +110,6 @@ let formulate ?(reduce = true) ~max_clusters p =
       minimize.(x i j) <- p.Problem.row_leak.(i).(j)
     done
   done;
-  let kept =
-    if reduce then reduce_paths p
-    else List.init (Problem.num_paths p) (fun k -> k)
-  in
   let timing =
     List.map
       (fun k ->
@@ -183,9 +179,7 @@ let warm_vector p ~max_clusters levels =
 
 let optimize_monolithic config ?warm_start p ~kept =
   Fbb_obs.Span.with_ ~name:"ilp.monolithic" @@ fun () ->
-  let problem =
-    formulate ~reduce:config.reduce ~max_clusters:config.max_clusters p
-  in
+  let problem = formulate ~kept ~max_clusters:config.max_clusters p in
   let incumbent =
     Option.bind warm_start (warm_vector p ~max_clusters:config.max_clusters)
   in
@@ -212,7 +206,7 @@ let optimize_monolithic config ?warm_start p ~kept =
     nodes = r.BB.nodes;
     elapsed_s = r.BB.elapsed_s;
     constraints_total = Problem.num_paths p;
-    constraints_solved = kept;
+    constraints_solved = List.length kept;
   }
 
 (* All ascending level subsets of the given size. *)
@@ -406,5 +400,5 @@ let optimize ?(config = default_config) ?warm_start p =
     else List.init (Problem.num_paths p) (fun k -> k)
   in
   match config.strategy with
-  | Monolithic -> optimize_monolithic config ?warm_start p ~kept:(List.length kept)
+  | Monolithic -> optimize_monolithic config ?warm_start p ~kept
   | Enumerate -> optimize_enumerate config ?warm_start p ~kept

@@ -58,8 +58,11 @@ val reduce_paths : Problem.t -> int list
     set is identical at any job count. *)
 
 val formulate :
-  ?reduce:bool -> max_clusters:int -> Problem.t -> Fbb_ilp.Branch_bound.problem
-(** Expose the raw 0-1 program (used by tests to cross-check optima). *)
+  kept:int list -> max_clusters:int -> Problem.t -> Fbb_ilp.Branch_bound.problem
+(** The raw 0-1 program with one timing row per path index in [kept]
+    (all paths, or {!reduce_paths}' output; reduction is the caller's
+    job, so it runs once per solve). Exposed for tests that cross-check
+    optima. *)
 
 val optimize :
   ?config:config -> ?warm_start:int array -> Problem.t -> result

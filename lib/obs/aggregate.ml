@@ -1,20 +1,27 @@
 (* In-memory aggregating sink: per-span-name duration statistics
-   (count/total/max from span events, p50/p90/p99 from the Hist_record
-   stream), per-span GC deltas, counter totals and last gauge values,
-   rendered as a text report (Fbb_util.Texttab) or machine-readable
-   CSV. Columns with nothing to show (a span with no histogram or GC
-   events, e.g. replaying a pre-histogram trace) render as "-". *)
+   (count/total/max and p50/p90/p99, all from Span_end.dur_s), per-span
+   GC deltas, counter totals and last gauge values, rendered as a text
+   report (Fbb_util.Texttab) or machine-readable CSV. Columns with
+   nothing to show (a span with no GC events) render as "-".
+
+   The percentile histograms are private to the aggregate rather than
+   read from the Histogram registry: an aggregate covers one window (a
+   bench session, one --profile run, one replayed trace) while the
+   registry accumulates over the whole process. Hist_record events -
+   which traces recorded before span closes stopped emitting them
+   carry, one per Span_end with the same value - are ignored, so an old
+   trace replays to the same report without double counting. *)
 
 type stat = {
   mutable count : int;
   mutable total_s : float;
   mutable max_s : float;
+  hist : Histogram.t;
 }
 
 type t = {
   spans : (string, stat) Hashtbl.t;
   mutable span_order : string list;  (* first-completion order, reversed *)
-  hists : (string, Histogram.t) Hashtbl.t;
   gc : (string, Gcprof.sample ref) Hashtbl.t;
   counters : (string, int ref) Hashtbl.t;
   mutable counter_order : string list;
@@ -26,7 +33,6 @@ let create () =
   {
     spans = Hashtbl.create 32;
     span_order = [];
-    hists = Hashtbl.create 32;
     gc = Hashtbl.create 32;
     counters = Hashtbl.create 32;
     counter_order = [];
@@ -45,25 +51,19 @@ let sink t =
             match Hashtbl.find_opt t.spans name with
             | Some s -> s
             | None ->
-              let s = { count = 0; total_s = 0.0; max_s = 0.0 } in
+              let s =
+                { count = 0; total_s = 0.0; max_s = 0.0;
+                  hist = Histogram.create name }
+              in
               Hashtbl.add t.spans name s;
               t.span_order <- name :: t.span_order;
               s
           in
           s.count <- s.count + 1;
           s.total_s <- s.total_s +. dur_s;
-          if dur_s > s.max_s then s.max_s <- dur_s
-        | Event.Hist_record { name; value; _ } ->
-          let h =
-            match Hashtbl.find_opt t.hists name with
-            | Some h -> h
-            | None ->
-              let h = Histogram.create name in
-              Hashtbl.add t.hists name h;
-              h
-          in
-          (* observe, not record: we are inside the sink mutex. *)
-          Histogram.observe h value
+          if dur_s > s.max_s then s.max_s <- dur_s;
+          Histogram.observe s.hist dur_s
+        | Event.Hist_record _ -> ()
         | Event.Gc_sample
             {
               name;
@@ -122,27 +122,15 @@ let span_stat t name =
     (fun s -> (s.count, s.total_s, s.max_s))
     (Hashtbl.find_opt t.spans name)
 
-let span_total t name =
-  match Hashtbl.find_opt t.spans name with
-  | Some s -> Some s.total_s
-  | None -> None
-
 let counter_total t name =
   Option.map ( ! ) (Hashtbl.find_opt t.counters name)
 
-let histogram t name = Hashtbl.find_opt t.hists name
-
 let span_percentiles t name =
   Option.map
-    (fun h ->
-      (* percentile_opt, so an empty histogram (possible when replaying
-         a filtered or truncated trace) yields NaN cells that Texttab
-         renders as "-", never a fake 0. *)
-      let p q =
-        Option.value (Histogram.percentile_opt h q) ~default:Float.nan
-      in
+    (fun s ->
+      let p q = Histogram.percentile s.hist q in
       (p 0.50, p 0.90, p 0.99))
-    (Hashtbl.find_opt t.hists name)
+    (Hashtbl.find_opt t.spans name)
 
 let gc_stat t name = Option.map ( ! ) (Hashtbl.find_opt t.gc name)
 

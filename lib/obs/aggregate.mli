@@ -1,8 +1,16 @@
 (** In-memory aggregating sink: per-span-name duration statistics
-    (count / total / mean / max from span events, p50/p90/p99 from the
-    histogram stream), per-span GC deltas, counter totals and last
-    gauge values, rendered as a text report or CSV. Cells with no data
-    (a span with no histogram or GC events) render as "-". *)
+    (count / total / mean / max and p50/p90/p99, all from [Span_end]
+    durations), per-span GC deltas, counter totals and last gauge
+    values, rendered as a text report or CSV. Cells with no data (a
+    span with no GC events) render as "-".
+
+    The percentiles come from histograms private to the aggregate, not
+    from the {!Histogram} registry: an aggregate covers one window (a
+    bench session, one [--profile] run, one replayed trace), while the
+    registry accumulates over the whole process. [Hist_record] events,
+    which traces recorded before span closes stopped emitting them
+    carry one per [Span_end], are ignored, so such a trace replays to
+    the same report. *)
 
 type t
 
@@ -12,12 +20,7 @@ val sink : t -> Sink.t
 val span_stat : t -> string -> (int * float * float) option
 (** [(count, total_s, max_s)] for a span name, if ever completed. *)
 
-val span_total : t -> string -> float option
 val counter_total : t -> string -> int option
-
-val histogram : t -> string -> Histogram.t option
-(** The aggregated value distribution for a histogram name (span
-    durations use the span's name), if any [Hist_record] was seen. *)
 
 val span_percentiles : t -> string -> (float * float * float) option
 (** [(p50, p90, p99)] seconds for a span name. *)

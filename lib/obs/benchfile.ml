@@ -39,7 +39,6 @@ type t = {
   jobs : int;
   experiments : (string * float) list;  (* name, wall seconds *)
   counters : (string * int) list;
-  gauges : (string * float) list;  (* e.g. obs.telemetry.* overhead *)
   spans : (string * span_stat) list;
   gc : Gcprof.sample;  (* whole-process totals at record time *)
   pool : pool_stat list;
@@ -60,12 +59,11 @@ let span_stats_of_aggregate agg =
       (name, { count; total_s; mean_s; p50_s; p90_s; p99_s; max_s }))
     (Aggregate.span_rows agg)
 
-let make ~jobs ~experiments ~counters ?(gauges = []) ~pool agg =
+let make ~jobs ~experiments ~counters ~pool agg =
   {
     jobs;
     experiments;
     counters;
-    gauges;
     spans = span_stats_of_aggregate agg;
     gc = Gcprof.sample ();
     pool =
@@ -92,7 +90,6 @@ let to_json t =
              t.experiments) );
       ( "counters",
         Json.Obj (List.map (fun (name, v) -> (name, inum v)) t.counters) );
-      ("gauges", Json.Obj (List.map (fun (name, v) -> (name, num v)) t.gauges));
       ( "spans",
         Json.Obj
           (List.map
@@ -161,15 +158,6 @@ let of_json v =
             Option.map (fun f -> (name, int_of_float f)) (Json.to_num jv))
           members
     in
-    let gauges =
-      (* absent in fbb-bench-1 and early fbb-bench-2 records *)
-      match Json.member_obj "gauges" v with
-      | None -> []
-      | Some members ->
-        List.filter_map
-          (fun (name, jv) -> Option.map (fun f -> (name, f)) (Json.to_num jv))
-          members
-    in
     let spans =
       match Json.member_obj "spans" v with
       | None -> []
@@ -231,7 +219,6 @@ let of_json v =
         jobs = int_of_float (get_num v "jobs" ~default:1.0);
         experiments;
         counters;
-        gauges;
         spans;
         gc;
         pool;
@@ -324,18 +311,6 @@ let compare ~max_regress_pct old_t new_t =
              (float_of_int old_c) (float_of_int new_c))
       | None -> ())
     old_t.counters;
-  (* gauges: informational - tracks the telemetry plane's own cost
-     (the obs.telemetry gauges) across records without ever failing
-     the build on it. *)
-  List.iter
-    (fun (name, old_g) ->
-      match List.assoc_opt name new_t.gauges with
-      | Some new_g ->
-        emit
-          (verdict ~max_regress_pct ~floor:0.0 ~gated:false ("gauge:" ^ name)
-             old_g new_g)
-      | None -> ())
-    old_t.gauges;
   { verdicts = List.rev !verdicts; missing = List.rev !missing }
 
 let regressed c = List.exists (fun v -> v.regressed) c.verdicts

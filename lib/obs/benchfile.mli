@@ -8,7 +8,8 @@
     gate (relative threshold plus an absolute noise floor), counters
     are reported but informational. Files with the older "fbb-bench-1"
     schema still load — absent sections come back empty and their
-    gates are skipped. *)
+    gates are skipped — and a ["gauges"] section, which older harness
+    runs with live telemetry wrote, is ignored. *)
 
 type span_stat = {
   count : int;
@@ -31,10 +32,6 @@ type t = {
   jobs : int;
   experiments : (string * float) list;  (** name, wall seconds *)
   counters : (string * int) list;
-  gauges : (string * float) list;
-      (** informational gauge values, e.g. the [obs.telemetry.*]
-          overhead of the telemetry plane during the run; empty in
-          records written before telemetry existed *)
   spans : (string * span_stat) list;
   gc : Gcprof.sample;  (** whole-process totals at record time *)
   pool : pool_stat list;
@@ -44,7 +41,6 @@ val make :
   jobs:int ->
   experiments:(string * float) list ->
   counters:(string * int) list ->
-  ?gauges:(string * float) list ->
   pool:(string * float * float * int) list ->
   Aggregate.t ->
   t
@@ -52,8 +48,7 @@ val make :
     percentiles come from the aggregate, GC totals from
     [Gc.quick_stat] at call time, [pool] from
     [Fbb_par.Pool.utilization ()] (passed in because [fbb_par] depends
-    on this library, not the other way around). [gauges] defaults to
-    empty. *)
+    on this library, not the other way around). *)
 
 val to_json : t -> Fbb_util.Json.t
 val of_json : Fbb_util.Json.t -> (t, string) result
@@ -66,8 +61,7 @@ val load : string -> (t, string) result
 
 type verdict = {
   key : string;
-      (** ["exp:<name>"], ["gc:minor_words"], ["counter:<name>"],
-          ["gauge:<name>"] *)
+      (** ["exp:<name>"], ["gc:minor_words"], ["counter:<name>"] *)
   old_v : float;
   new_v : float;
   change_pct : float;  (** +10.0 = new is 10% bigger; [infinity] from 0 *)

@@ -8,10 +8,11 @@
    stack per domain from the interleaved stream. Counter events carry
    deltas, not totals: they are flushed at span boundaries so a trace
    attributes each increment to the innermost span that was open when it
-   happened. Hist_record carries one observed value (span durations are
-   recorded automatically; any code can record into its own histogram);
-   Gc_sample carries the GC-counter deltas across one span, measured on
-   the span's own domain. *)
+   happened. Hist_record is load-only: nothing emits it any more, but
+   traces recorded when span closes still did (one per Span_end,
+   repeating its dur_s) parse into it, so they keep loading. Gc_sample
+   carries the GC-counter deltas across one span, measured on the
+   span's own domain. *)
 
 type t =
   | Span_begin of {
@@ -32,6 +33,7 @@ type t =
   | Counter_add of { name : string; delta : int; ts : float }
   | Gauge_set of { name : string; value : float; ts : float }
   | Hist_record of { name : string; value : float; ts : float }
+      (* load-only: parsed from old traces, never emitted *)
   | Gc_sample of {
       name : string;  (* the span the deltas are attributed to *)
       minor_words : float;

@@ -5,10 +5,11 @@
     converters can rebuild per-domain stacks from the interleaved
     stream. Counter events carry {e deltas} batched at span boundaries,
     never totals, so a trace attributes increments to the innermost
-    open span. [Hist_record] is one observed histogram value (span
-    durations are recorded automatically); [Gc_sample] is the GC
-    counter delta across one span on the span's own domain
-    ([top_heap_words] is the absolute high-water mark). *)
+    open span. [Gc_sample] is the GC counter delta across one span on
+    the span's own domain ([top_heap_words] is the absolute high-water
+    mark). [Hist_record] is load-only: nothing emits it, but traces
+    recorded when every span close also wrote its duration as an "H"
+    line still parse into it. *)
 
 type t =
   | Span_begin of {
@@ -31,6 +32,7 @@ type t =
   | Counter_add of { name : string; delta : int; ts : float }
   | Gauge_set of { name : string; value : float; ts : float }
   | Hist_record of { name : string; value : float; ts : float }
+      (** load-only: parsed from old traces, never emitted *)
   | Gc_sample of {
       name : string;
       minor_words : float;
@@ -47,7 +49,7 @@ val ts : t -> float
 val to_json : t -> string
 (** One-line JSON object. The ["ph"] field mirrors Chrome trace_event
     phase letters (B/E/C) plus extensions "G" (gauge), "H" (histogram
-    observation) and "M" (GC sample); timestamps are seconds
+    observation, old traces only) and "M" (GC sample); timestamps are seconds
     (trace_event wants microseconds — {!Trace_export} rescales). *)
 
 val escape : string -> string

@@ -13,11 +13,10 @@
    within 1/16 (6.25%) of its lower bound - percentile estimates carry
    at most that relative error, while exact max is tracked separately.
 
-   Like counters, histograms accumulate with no sink installed;
-   [record] additionally emits a {!Event.Hist_record} so JSONL traces
-   and the aggregate sink can rebuild the distribution offline. The
-   aggregate sink itself uses plain [observe] (no event) - emitting
-   from inside a sink would re-enter the sink mutex. *)
+   Like counters, histograms accumulate with no sink installed, and
+   observing one emits no event: span durations already travel as
+   [Span_end.dur_s], from which JSONL readers and the aggregate sink
+   rebuild the distribution offline. *)
 
 let sub = 16
 let min_exp = -40
@@ -142,11 +141,6 @@ let exemplar_of_bucket t i =
   | Some arr -> if i >= 0 && i < n_buckets then Atomic.get arr.(i) else None
 
 let exemplar_for t v = exemplar_of_bucket t (bucket_of_value v)
-
-let record t v =
-  observe t v;
-  if Sink.enabled () then
-    Sink.emit (Event.Hist_record { name = t.name; value = v; ts = Clock.now_s () })
 
 (* ----- readers --------------------------------------------------------- *)
 

@@ -8,10 +8,12 @@
     carry at most one bucket width (6.25%) of relative error and are
     capped at the exact max.
 
-    Like counters, histograms accumulate with or without a sink.
-    {!Span.with_} records every span's duration into a registry
-    histogram of the same name, so percentiles are available for every
-    span wherever an {!Aggregate} report is rendered. *)
+    Like counters, histograms accumulate with or without a sink, and
+    observing emits no event. {!Span.with_} observes every span's
+    duration into a registry histogram of the same name, so the
+    telemetry sampler and [/metrics] report percentiles for every span;
+    offline readers ({!Aggregate}, {!Trace_export}) rebuild the same
+    distribution from [Span_end] events. *)
 
 type t
 
@@ -59,11 +61,6 @@ val exemplar_for : t -> float -> exemplar option
 val bucket_upper : int -> float
 (** Inclusive upper edge of bucket [i] on the log-linear grid (0.0 for
     the zero/negative bucket) — the [le] edge {!Promtext} renders. *)
-
-val record : t -> float -> unit
-(** [observe] plus an {!Event.Hist_record} emission when a sink is
-    installed. Never call from inside a sink — it would re-enter the
-    sink mutex; sinks use {!observe}. *)
 
 val count : t -> int
 val sum : t -> float

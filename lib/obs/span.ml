@@ -10,10 +10,12 @@
    the shared stream that [Sink.emit] serializes at span boundaries.
 
    Beyond the begin/end pair, closing a span (with a sink installed)
-   also records its duration into the registry histogram of the same
-   name (one [Hist_record] event, giving p50/p90/p99 per span name for
-   free) and, unless [Gcprof.set_enabled false], emits a [Gc_sample]
-   with the GC-counter deltas across the span on this domain. *)
+   also observes its duration into the registry histogram of the same
+   name (no event: [Span_end.dur_s] already carries the duration, so
+   /metrics gets p50/p90/p99 per span name without a second record on
+   the wire) and, unless [Gcprof.set_enabled false], emits a
+   [Gc_sample] with the GC-counter deltas across the span on this
+   domain. *)
 
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
@@ -44,7 +46,7 @@ let with_ ~name f =
       Context.pop_span ();
       let dur_s = t1 -. t0 in
       Sink.emit (Event.Span_end { name; ts = t1; dur_s; depth = d; dom; trace });
-      Histogram.record (Histogram.make name) dur_s;
+      Histogram.observe (Histogram.make name) dur_s;
       Option.iter (Gcprof.emit_span_delta ~name ~ts:t1) gc0
     in
     (match f () with

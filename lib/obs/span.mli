@@ -8,9 +8,11 @@ val with_ : name:string -> (unit -> 'a) -> 'a
     domain id, so spans opened on pool workers nest against their own
     ancestry and the interleaved stream stays reconstructible.
 
-    Closing a span additionally records its duration into the registry
-    histogram of the same name (emitting one [Hist_record]) and, when
-    {!Gcprof} is enabled, a [Gc_sample] with the span's GC deltas. *)
+    Closing a span emits [Span_end] (which carries the duration) and,
+    when {!Gcprof} is enabled, a [Gc_sample] with the span's GC deltas.
+    It also observes the duration into the registry histogram of the
+    same name, with no event, so the telemetry sampler and [/metrics]
+    see per-span percentiles. *)
 
 val current_depth : unit -> int
 (** Nesting depth of the calling domain's innermost open span (0

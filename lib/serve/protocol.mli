@@ -51,7 +51,7 @@ type request =
 (** {2 Responses} *)
 
 type attempt = {
-  stage : string;  (** ["ilp"|"bb"|"heuristic"|"single_bb"] *)
+  stage : string;  (** ["ilp"|"heuristic"|"single_bb"] *)
   status : string;  (** {!Fbb_core.Cascade.status}, rendered *)
   leakage_nw : float option;
   work : int;

@@ -252,7 +252,9 @@ let test_ilp_infeasible_beta () =
 
 let test_formulation_shape () =
   let p = problem () in
-  let bbp = Ilp.formulate ~reduce:false ~max_clusters:2 p in
+  let bbp =
+    Ilp.formulate ~kept:(List.init (Problem.num_paths p) Fun.id) ~max_clusters:2 p
+  in
   let nrows = Problem.num_rows p and nlev = Problem.num_levels p in
   Alcotest.(check int) "variables = N*P + P"
     ((nrows * nlev) + nlev)
@@ -261,6 +263,41 @@ let test_formulation_shape () =
   Alcotest.(check int) "constraint count"
     (Problem.num_paths p + nrows + nlev + 1 + nlev)
     (List.length bbp.Fbb_ilp.Branch_bound.constraints)
+
+let test_monolithic_reduces_once () =
+  (* Dominance reduction runs once per solve: the dropped-constraint
+     counter moves by exactly |Pi| - constraints_solved and the
+     ilp.reduce_paths span closes once. Tight limits: the solve itself
+     is not under test. *)
+  let p = problem () in
+  let dropped = Fbb_obs.Counter.make "ilp.constraints_dropped" in
+  let before = Fbb_obs.Counter.read dropped in
+  let reduce_spans = ref 0 in
+  let sink =
+    {
+      Fbb_obs.Sink.emit =
+        (function
+        | Fbb_obs.Event.Span_end { name = "ilp.reduce_paths"; _ } ->
+          incr reduce_spans
+        | _ -> ());
+      flush = ignore;
+    }
+  in
+  let r =
+    Fbb_obs.Sink.with_installed sink (fun () ->
+        Ilp.optimize
+          ~config:
+            {
+              Ilp.default_config with
+              strategy = Ilp.Monolithic;
+              limits = { BB.max_nodes = 50; max_seconds = 5.0 };
+            }
+          p)
+  in
+  Alcotest.(check int) "constraints_dropped delta"
+    (Problem.num_paths p - r.Ilp.constraints_solved)
+    (Fbb_obs.Counter.read dropped - before);
+  Alcotest.(check int) "one ilp.reduce_paths span" 1 !reduce_spans
 
 let recovery_t =
   lazy (Fbb_core.Recovery.build ~margin:0.08 (Lazy.force Tsupport.small_placement))
@@ -511,6 +548,7 @@ let suite =
     ("constraint reduction lossless", `Slow, test_constraint_reduction_lossless);
     ("ilp infeasible beta", `Quick, test_ilp_infeasible_beta);
     ("ilp formulation shape", `Quick, test_formulation_shape);
+    ("monolithic reduces paths once", `Quick, test_monolithic_reduces_once);
     ("rbb recovery valid", `Quick, test_recovery_valid);
     ("rbb recovery monotone in margin", `Quick, test_recovery_monotone_in_margin);
     ("rbb recovery zero margin safe", `Quick, test_recovery_zero_margin_safe);

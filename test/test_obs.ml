@@ -407,29 +407,76 @@ let qcheck_histogram_merge_associative =
          || Obs.Histogram.max_value l = Obs.Histogram.max_value r))
 
 let test_span_records_histogram () =
-  let name = fresh "t.span.hist" in
-  let sink, events = recording () in
-  Obs.Sink.with_installed sink (fun () ->
-      Obs.Span.with_ ~name (fun () -> Sys.opaque_identity ()));
-  (* The duration lands both in the registry histogram and on the wire
-     as a Hist_record carrying the same value. *)
-  let h = Obs.Histogram.make name in
-  Alcotest.(check int) "registry histogram observed the span" 1
-    (Obs.Histogram.count h);
-  let wire =
+  (* A span close lands its duration in the registry histogram (so
+     /metrics and the sampler see it) but puts it on the wire only
+     once, as Span_end.dur_s: the close emits Span_end plus Gc_sample,
+     or Span_end alone with Gcprof off, and never a Hist_record. *)
+  let close_events () =
+    let name = fresh "t.span.hist" in
+    let sink, events = recording () in
+    Obs.Sink.with_installed sink (fun () ->
+        Obs.Span.with_ ~name (fun () -> Sys.opaque_identity ()));
+    let h = Obs.Histogram.make name in
+    Alcotest.(check int) "registry histogram observed the span" 1
+      (Obs.Histogram.count h);
+    Obs.Histogram.reset h;
     List.filter_map
       (function
-        | Obs.Event.Hist_record { name = n; value; _ } when n = name ->
-          Some value
-        | _ -> None)
+        | Obs.Event.Span_begin _ -> None
+        | Obs.Event.Span_end _ -> Some "E"
+        | Obs.Event.Gc_sample _ -> Some "M"
+        | Obs.Event.Hist_record _ -> Some "H"
+        | Obs.Event.Counter_add _ | Obs.Event.Gauge_set _ -> Some "other")
       (events ())
   in
-  (match wire with
-  | [ v ] ->
-    Alcotest.(check (float 1e-12)) "wire value = histogram sum" v
-      (Obs.Histogram.sum h)
-  | l -> Alcotest.failf "expected 1 Hist_record, got %d" (List.length l));
-  Obs.Histogram.reset h
+  Alcotest.(check (list string)) "close emits Span_end + Gc_sample"
+    [ "E"; "M" ] (close_events ());
+  Obs.Gcprof.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Obs.Gcprof.set_enabled true)
+    (fun () ->
+      Alcotest.(check (list string)) "close emits Span_end alone, gc off"
+        [ "E" ] (close_events ()))
+
+let test_aggregate_ignores_hist_record () =
+  (* Traces recorded before span closes stopped emitting Hist_record
+     carry one per Span_end with the same value; replaying one must
+     give the same percentiles as the stream without them. *)
+  let stream ~with_h =
+    List.concat_map
+      (fun i ->
+        let dur_s = 0.001 *. float_of_int (1 + (i * 7 mod 23)) in
+        let ts = float_of_int i in
+        [
+          Obs.Event.Span_begin
+            { name = "s"; ts; depth = 0; dom = 0; trace = "" };
+          Obs.Event.Span_end
+            { name = "s"; ts = ts +. dur_s; dur_s; depth = 0; dom = 0;
+              trace = "" };
+        ]
+        @
+        if with_h then
+          [ Obs.Event.Hist_record { name = "s"; value = dur_s; ts = ts +. dur_s } ]
+        else [])
+      (List.init 40 Fun.id)
+  in
+  let replay events =
+    let agg = Obs.Aggregate.create () in
+    let sink = Obs.Aggregate.sink agg in
+    List.iter sink.Obs.Sink.emit events;
+    ( Obs.Aggregate.span_percentiles agg "s",
+      Obs.Aggregate.span_stat agg "s" )
+  in
+  let old_p, old_stat = replay (stream ~with_h:true) in
+  let new_p, new_stat = replay (stream ~with_h:false) in
+  (match new_p with
+  | Some (p50, _, p99) ->
+    Alcotest.(check bool) "percentiles come from Span_end" true
+      (p50 > 0.0 && p99 >= p50)
+  | None -> Alcotest.fail "no percentiles without Hist_record");
+  Alcotest.(check bool) "same p50/p90/p99 with and without H" true
+    (old_p = new_p);
+  Alcotest.(check bool) "same count/total/max" true (old_stat = new_stat)
 
 (* ----- GC profiling ------------------------------------------------------ *)
 
@@ -919,7 +966,7 @@ let test_flight_record_roundtrip () =
       Obs.Context.with_ (Obs.Context.make ~trace ()) (fun () ->
           Obs.Span.with_ ~name:"serve.request" (fun () ->
               Obs.Span.with_ ~name:"cascade.ilp" (fun () -> ());
-              Obs.Span.with_ ~name:"cascade.bb" (fun () -> ()))));
+              Obs.Span.with_ ~name:"cascade.heuristic" (fun () -> ()))));
   flight_finish trace
     ~stages:
       [
@@ -942,7 +989,7 @@ let test_flight_record_roundtrip () =
       Alcotest.(check int) "children in begin order" 2
         (List.length root.Obs.Flight.sp_children);
       Alcotest.(check (list string)) "child names"
-        [ "cascade.ilp"; "cascade.bb" ]
+        [ "cascade.ilp"; "cascade.heuristic" ]
         (List.map (fun s -> s.Obs.Flight.sp_name) root.Obs.Flight.sp_children)
     | spans -> Alcotest.failf "expected one root span, got %d" (List.length spans));
     let j = Obs.Flight.to_json r in
@@ -1241,6 +1288,8 @@ let suite =
     ("span records histogram", `Quick, test_span_records_histogram);
     ("gc delta monotone", `Quick, test_gc_delta_monotone);
     ("span emits gc sample", `Quick, test_span_emits_gc_sample);
+    ("aggregate ignores hist records", `Quick,
+     test_aggregate_ignores_hist_record);
     ("gc sampling toggle", `Quick, test_gc_sampling_toggle);
     ("jsonl valid when raising", `Quick, test_jsonl_valid_when_raising);
     ("context scoping", `Quick, test_context_scoping);

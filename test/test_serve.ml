@@ -100,7 +100,7 @@ let gen_request =
 
 let gen_attempt =
   let open QCheck.Gen in
-  oneofl [ "ilp"; "bb"; "heuristic"; "single_bb" ] >>= fun stage ->
+  oneofl [ "ilp"; "heuristic"; "single_bb" ] >>= fun stage ->
   oneofl [ "accepted"; "rejected"; "exhausted"; "crashed: boom" ]
   >>= fun status ->
   option gen_finite >>= fun leakage_nw ->
@@ -120,7 +120,7 @@ let gen_response =
   let open QCheck.Gen in
   let gen_solved =
     gen_id >>= fun id ->
-    oneofl [ "ilp"; "bb"; "heuristic"; "single_bb" ] >>= fun stage ->
+    oneofl [ "ilp"; "heuristic"; "single_bb" ] >>= fun stage ->
     array_size (0 -- 8) (0 -- 10) >>= fun levels ->
     gen_finite >>= fun leakage_nw ->
     option gen_finite >>= fun gap_pct ->

@@ -321,12 +321,11 @@ let gc0 =
     top_heap_words = 0;
   }
 
-let bench ?(gc = gc0) ?(gauges = []) experiments counters =
+let bench ?(gc = gc0) experiments counters =
   {
     Obs.Benchfile.jobs = 2;
     experiments;
     counters;
-    gauges;
     spans = [];
     gc;
     pool = [];
@@ -346,9 +345,26 @@ let test_benchfile_roundtrip () =
       [ ("yield", 0.61); ("table1", 12.5) ]
       [ ("mc.samples", 30) ]
   in
-  match Obs.Benchfile.of_json (Obs.Benchfile.to_json t) with
+  (match Obs.Benchfile.of_json (Obs.Benchfile.to_json t) with
   | Ok t' -> Alcotest.(check bool) "record round-trips" true (t = t')
-  | Error m -> Alcotest.failf "round-trip failed: %s" m
+  | Error m -> Alcotest.failf "round-trip failed: %s" m);
+  (* Records written by harness runs with live telemetry carry a
+     "gauges" section; it is ignored, not an error. *)
+  let with_gauges =
+    match Obs.Benchfile.to_json t with
+    | Fbb_util.Json.Obj members ->
+      Fbb_util.Json.Obj
+        (members
+        @ [
+            ( "gauges",
+              Fbb_util.Json.Obj
+                [ ("obs.telemetry.overhead_pct", Fbb_util.Json.Num 0.8) ] );
+          ])
+    | _ -> Alcotest.fail "record is not a JSON object"
+  in
+  match Obs.Benchfile.of_json with_gauges with
+  | Ok t' -> Alcotest.(check bool) "record with gauges loads" true (t = t')
+  | Error m -> Alcotest.failf "gauges record failed to load: %s" m
 
 let compare_codes ~old_exp ~new_exp =
   let c =
@@ -407,35 +423,6 @@ let test_compare_gc_gate () =
        (Obs.Benchfile.compare ~max_regress_pct:25.0 (bench [] [])
           (bench ~gc:(gc 1e8) [] [])))
 
-let test_benchfile_gauges () =
-  (* fbb-bench-2 records carry telemetry self-cost gauges; they
-     round-trip, old records without them load with [], and compare
-     reports them informationally — never as a gated regression. *)
-  let t =
-    bench
-      ~gauges:[ ("obs.telemetry.overhead_pct", 0.8) ]
-      [ ("yield", 1.0) ] []
-  in
-  (match Obs.Benchfile.of_json (Obs.Benchfile.to_json t) with
-  | Ok t' -> Alcotest.(check bool) "gauges round-trip" true (t = t')
-  | Error m -> Alcotest.failf "round-trip failed: %s" m);
-  let t_nog = bench [ ("yield", 1.0) ] [] in
-  (match Obs.Benchfile.of_json (Obs.Benchfile.to_json t_nog) with
-  | Ok t' -> Alcotest.(check bool) "no-gauge record loads" true (t' = t_nog)
-  | Error m -> Alcotest.failf "no-gauge load failed: %s" m);
-  let worse =
-    bench
-      ~gauges:[ ("obs.telemetry.overhead_pct", 1.9) ]
-      [ ("yield", 1.0) ] []
-  in
-  let c = Obs.Benchfile.compare ~max_regress_pct:25.0 t worse in
-  Alcotest.(check bool) "gauge blow-up is informational, not a regression"
-    false (Obs.Benchfile.regressed c);
-  Alcotest.(check bool) "gauge verdict is reported" true
-    (List.exists
-       (fun v -> v.Obs.Benchfile.key = "gauge:obs.telemetry.overhead_pct")
-       c.Obs.Benchfile.verdicts)
-
 let test_benchfile_load_errors () =
   let is_err = function Error _ -> true | Ok _ -> false in
   let tmp content =
@@ -474,7 +461,6 @@ let suite =
     ("trace id round-trip", `Quick, test_trace_id_roundtrip);
     ("filter by trace id", `Quick, test_filter_trace);
     ("benchfile round-trip", `Quick, test_benchfile_roundtrip);
-    ("benchfile gauges informational", `Quick, test_benchfile_gauges);
     ("bench-compare ok/improve", `Quick, test_compare_ok_and_improve);
     ("bench-compare regression", `Quick, test_compare_regression);
     ("bench-compare missing key", `Quick, test_compare_missing_key);
