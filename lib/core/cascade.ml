@@ -98,7 +98,17 @@ type candidate = {
   c_truncated : bool;  (* the stage's budget cut it short *)
 }
 
+(* The ILP stage seeds its search with the heuristic's answer, run on
+   the stage's own budget: the incumbent lets the floor-cost check
+   prune subsets before any LP runs. A heuristic the budget cut short
+   seeds nothing - the stage's allowance is spent, and the cascade
+   falls through exactly as it would without the warm start. *)
 let run_ilp ~max_clusters ~budget p =
+  let warm_start =
+    match Heuristic.optimize ~max_clusters ~budget p with
+    | Some h when h.Heuristic.complete -> Some h.Heuristic.levels
+    | Some _ | None -> None
+  in
   let config =
     {
       Ilp_opt.default_config with
@@ -114,7 +124,7 @@ let run_ilp ~max_clusters ~budget p =
         };
     }
   in
-  let r = Ilp_opt.optimize ~config p in
+  let r = Ilp_opt.optimize ~config ?warm_start p in
   {
     c_levels = r.Ilp_opt.levels;
     c_optimal = r.Ilp_opt.proved_optimal;

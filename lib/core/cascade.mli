@@ -7,7 +7,9 @@
 
     under one shared {!Fbb_util.Budget}, carving each stage a fraction
     of whatever allowance remains when it starts: the subset-enumerating
-    ILP gets half, the heuristic the rest. A stage's candidate
+    ILP gets half (it runs the heuristic first, inside that half, and
+    seeds its search with the answer), the heuristic stage the rest. A
+    stage's candidate
     is only {e accepted} after an independent sign-off — a plain-loop
     feasibility, range and cluster-count check that shares nothing with
     the solvers' incremental machinery — and the first signed-off

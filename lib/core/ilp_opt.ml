@@ -151,14 +151,10 @@ let formulate ~kept ~max_clusters p =
       };
     ]
   in
-  let y_bounds =
-    List.init nlev (fun j ->
-        { S.terms = [ (y j, 1.0) ]; relation = S.Le; rhs = 1.0 })
-  in
   {
     BB.num_vars;
     minimize;
-    constraints = timing @ assignment @ linking @ budget @ y_bounds;
+    constraints = timing @ assignment @ linking @ budget;
   }
 
 let warm_vector p ~max_clusters levels =
@@ -312,17 +308,61 @@ let optimize_enumerate config ?warm_start p ~kept =
              | c -> c)
       |> List.map snd
     in
-    List.iter
-      (fun subset ->
-        Fbb_obs.Counter.incr subsets_considered_c;
+    (* Exact B&B over one subset, seeded with the warm start projected
+       into the subset when that still meets timing. *)
+    let solve_subset ~remaining subset =
+      let problem, s = formulate_subset p ~kept ~subset in
+      let ns = Array.length s in
+      let incumbent =
+        match warm_start with
+        | Some levels when Solution.meets_timing p levels ->
+          let proj = project_levels subset levels in
+          if Solution.meets_timing p (Array.map (fun q -> s.(q)) proj) then begin
+            let v = Array.make problem.BB.num_vars 0.0 in
+            Array.iteri (fun i q -> v.((i * ns) + q) <- 1.0) proj;
+            Some v
+          end
+          else None
+        | Some _ | None -> None
+      in
+      let cutoff = Option.map snd !best in
+      let limits =
+        { BB.max_nodes = config.limits.BB.max_nodes; max_seconds = remaining }
+      in
+      let r = BB.solve ~limits ~budget:config.budget ?incumbent ?cutoff problem in
+      nodes := !nodes + r.BB.nodes;
+      (match r.BB.status with
+      | BB.Proved_optimal | BB.Proved_infeasible -> ()
+      | BB.Feasible | BB.Limit_reached -> all_proved := false);
+      match r.BB.best with
+      | Some (x, obj) -> begin
+        let levels =
+          Array.init nrows (fun i ->
+              let bestq = ref 0 in
+              for q = 1 to ns - 1 do
+                if x.((i * ns) + q) > x.((i * ns) + !bestq) then bestq := q
+              done;
+              s.(!bestq))
+        in
+        match !best with
+        | Some (_, b) when obj >= b -. 1e-9 -> ()
+        | Some _ | None -> best := Some (levels, obj)
+      end
+      | None -> ()
+    in
+    (* One budget tick per subset in this sequential loop; the shared
+       budget is also handed to each inner B&B, which ticks it per node
+       at its own (sequential) wave fold. The walk stops at the first
+       trip: only the subsets examined before it count as considered. *)
+    let rec walk = function
+      | [] -> ()
+      | subset :: rest ->
         let elapsed = Fbb_obs.Clock.now_s () -. start in
         let remaining = config.limits.BB.max_seconds -. elapsed in
-        (* One budget tick per subset in this sequential loop; the
-           shared budget is also handed to each inner B&B, which ticks
-           it per node at its own (sequential) wave fold. *)
         if remaining <= 0.0 || not (Fbb_util.Budget.tick config.budget) then
           all_proved := false
         else begin
+          Fbb_obs.Counter.incr subsets_considered_c;
           (* Cheap bound: even with every row at its cheapest subset level
              the incumbent must be beatable. *)
           let floor_cost = floor_cost_of subset in
@@ -331,56 +371,12 @@ let optimize_enumerate config ?warm_start p ~kept =
             | Some (_, b) -> floor_cost < b -. 1e-9
             | None -> true
           in
-          if not beatable then Fbb_obs.Counter.incr subsets_pruned_c;
-          if beatable then begin
-            let problem, s = formulate_subset p ~kept ~subset in
-            let incumbent =
-              match warm_start with
-              | Some levels when Solution.meets_timing p levels ->
-                let proj = project_levels subset levels in
-                let v = Array.make problem.BB.num_vars 0.0 in
-                Array.iteri
-                  (fun i q -> v.((i * Array.length s) + q) <- 1.0)
-                  proj;
-                let ok =
-                  let lv = Array.map (fun q -> s.(q)) proj in
-                  Solution.meets_timing p lv
-                in
-                if ok then Some v else None
-              | Some _ | None -> None
-            in
-            let cutoff = Option.map snd !best in
-            let limits =
-              {
-                BB.max_nodes = config.limits.BB.max_nodes;
-                max_seconds = remaining;
-              }
-            in
-            let r = BB.solve ~limits ~budget:config.budget ?incumbent ?cutoff problem in
-            nodes := !nodes + r.BB.nodes;
-            (match r.BB.status with
-            | BB.Proved_optimal | BB.Proved_infeasible -> ()
-            | BB.Feasible | BB.Limit_reached -> all_proved := false);
-            match r.BB.best with
-            | Some (x, obj) -> begin
-              let levels =
-                Array.init nrows (fun i ->
-                    let bestq = ref 0 in
-                    for q = 1 to Array.length s - 1 do
-                      if x.((i * Array.length s) + q)
-                         > x.((i * Array.length s) + !bestq)
-                      then bestq := q
-                    done;
-                    s.(!bestq))
-              in
-              match !best with
-              | Some (_, b) when obj >= b -. 1e-9 -> ()
-              | Some _ | None -> best := Some (levels, obj)
-            end
-            | None -> ()
-          end
-        end)
-      subsets);
+          if not beatable then Fbb_obs.Counter.incr subsets_pruned_c
+          else solve_subset ~remaining subset;
+          walk rest
+        end
+    in
+    walk subsets);
   let levels = Option.map fst !best in
   {
     levels;

@@ -9,9 +9,9 @@
       join point as [Worker_error] with the failing task index;
     - ["pool.transient"] — a transient task failure; the pool retries
       the chunk with bounded deterministic backoff;
-    - ["lp.pivot_limit"] — forces {!Fbb_lp.Simplex.solve} to report
-      [Pivot_limit] without solving, exercising the B&B and cascade
-      degradation paths;
+    - ["lp.pivot_limit"] — forces one {!Fbb_lp.Simplex} solve, warm or
+      cold, to report [Pivot_limit] without solving, exercising the B&B
+      and cascade degradation paths;
     - ["io.transient"] — a transient I/O error inside
       {!Fbb_util.Atomic_io.write_atomic} (installed by
       {!install_io_faults}); the write is retried, and the crash-safe

@@ -36,72 +36,21 @@ let objective_of p x =
 
 let int_eps = 1e-6
 
-(* Build the LP over free variables only; fixed variables are substituted
-   into the right-hand sides. [fixed.(i)] is -1 (free), 0 or 1. *)
-let reduced_lp p fixed =
-  let map = Array.make p.num_vars (-1) in
-  let free = ref [] in
-  let nfree = ref 0 in
-  for i = 0 to p.num_vars - 1 do
-    if fixed.(i) < 0 then begin
-      map.(i) <- !nfree;
-      free := i :: !free;
-      incr nfree
-    end
-  done;
-  let free = Array.of_list (List.rev !free) in
-  let constraints =
-    List.filter_map
-      (fun (c : S.constr) ->
-        let rhs = ref c.S.rhs in
-        let terms =
-          List.filter_map
-            (fun (v, a) ->
-              if fixed.(v) >= 0 then begin
-                rhs := !rhs -. (a *. float_of_int fixed.(v));
-                None
-              end
-              else Some (map.(v), a))
-            c.S.terms
-        in
-        match terms with
-        | [] ->
-          (* Fully substituted: keep an infeasibility marker if violated. *)
-          let violated =
-            match c.S.relation with
-            | S.Le -> 0.0 > !rhs +. 1e-9
-            | S.Ge -> 0.0 < !rhs -. 1e-9
-            | S.Eq -> Float.abs !rhs > 1e-9
-          in
-          if violated then
-            Some { S.terms = [ (0, 0.0) ]; relation = c.S.relation; rhs = !rhs }
-          else None
-        | _ -> Some { S.terms; relation = c.S.relation; rhs = !rhs })
-      p.constraints
-  in
-  let minimize = Array.map (fun i -> p.minimize.(i)) free in
-  let fixed_cost = ref 0.0 in
-  for i = 0 to p.num_vars - 1 do
-    if fixed.(i) = 1 then fixed_cost := !fixed_cost +. p.minimize.(i)
-  done;
-  ( {
-      S.num_vars = Array.length free;
-      minimize;
-      constraints;
-      upper = Some (Array.make (Array.length free) 1.0);
-    },
-    free,
-    !fixed_cost )
-
 let feasible p x =
   S.check
     { S.num_vars = p.num_vars; minimize = p.minimize; constraints = p.constraints; upper = Some (Array.make p.num_vars 1.0) }
     x ~eps:1e-6
 
-(* Subproblem awaiting exploration. [lower] is the parent's LP bound -
-   a valid lower bound on anything beneath this node, used to discard
-   it without an LP solve once the incumbent has moved past it. *)
-type node = { fixed : int array; lower : float }
+(* Subproblem awaiting exploration: the LP's bounds tightened by
+   [fixed.(i)] (-1 free, 0 or 1) and the parent's optimal basis header,
+   shared by both children, that its LP solve warm-starts from. The
+   root has none: every column is boxed in [0, 1], so the bound each
+   column's cost prefers is already a dual feasible start and no node
+   ever runs phase 1. [lower] is the parent's LP bound - a valid lower
+   bound on anything beneath this node, used to discard it without an
+   LP solve once the incumbent has moved past it. O(n + m) words per
+   open node. *)
+type node = { fixed : int array; lower : float; basis : S.basis option }
 
 (* What exploring one node produced. Computed in parallel on the pool;
    pure in the shared search state, so a wave's outcomes depend only on
@@ -114,6 +63,51 @@ type outcome =
   | Integral of float array * float
   | Branched of node * node
 
+(* Branch on one node's LP result: prune it against [threshold], take
+   it as an incumbent when integral, or split it on its most fractional
+   free variable. The children share this node's optimal basis. *)
+let branch p threshold node (result : S.outcome * S.basis option) =
+  match result with
+  | (S.Infeasible | S.Unbounded), _ -> Lp_infeasible
+  (* No budget is passed into these parallel LP solves (a shared
+     budget ticked from the pool would trip at scheduler-dependent
+     points), so [Budget_exhausted] cannot occur here; treat it like
+     a pivot limit - the subtree lost its bound - if it ever does. *)
+  | (S.Pivot_limit | S.Budget_exhausted), _ -> Lp_pivot_limit
+  | S.Optimal { objective; solution }, basis ->
+    if objective >= threshold -. 1e-9 then Bound_pruned
+    else begin
+      (* Most fractional free variable. *)
+      let frac = ref (-1) in
+      let dist = ref 0.0 in
+      Array.iteri
+        (fun i f ->
+          if f < 0 then begin
+            let v = solution.(i) in
+            let d = Float.min (Float.abs v) (Float.abs (1.0 -. v)) in
+            if d > int_eps && d > !dist then begin
+              dist := d;
+              frac := i
+            end
+          end)
+        node.fixed;
+      if !frac < 0 then begin
+        (* Integral: candidate incumbent. *)
+        let x = Array.map Float.round solution in
+        Integral (x, objective_of p x)
+      end
+      else begin
+        let var = !frac in
+        let first = if solution.(var) >= 0.5 then 1 else 0 in
+        let child v =
+          let fixed = Array.copy node.fixed in
+          fixed.(var) <- v;
+          { fixed; lower = objective; basis }
+        in
+        Branched (child first, child (1 - first))
+      end
+    end
+
 (* The threshold a wave prunes against: anything whose lower bound
    cannot beat it (within 1e-9) is abandoned. It folds together the
    incumbent and the caller's cutoff, and is frozen at the start of a
@@ -121,55 +115,54 @@ type outcome =
    the same value. That freeze is what makes the parallel search
    deterministic: incumbents found mid-wave only tighten the *next*
    wave, identically at any job count, instead of racing into sibling
-   subtrees at scheduler-dependent moments. *)
-let explore p threshold node =
-  if node.lower >= threshold -. 1e-9 then Pre_pruned
-  else begin
-    let lp, free, fixed_cost = reduced_lp p node.fixed in
-    match Fbb_obs.Span.with_ ~name:"bb.lp_bound" (fun () -> S.solve lp) with
-    | S.Infeasible | S.Unbounded -> Lp_infeasible
-    (* No budget is passed into these parallel LP solves (a shared
-       budget ticked from the pool would trip at scheduler-dependent
-       points), so [Budget_exhausted] cannot occur here; treat it like
-       a pivot limit - the subtree lost its bound - if it ever does. *)
-    | S.Pivot_limit | S.Budget_exhausted -> Lp_pivot_limit
-    | S.Optimal { objective; solution } ->
-      let total = objective +. fixed_cost in
-      if total >= threshold -. 1e-9 then Bound_pruned
+   subtrees at scheduler-dependent moments.
+
+   One task explores a run of siblings - nodes carrying the same
+   parent basis - so a single refactor of that header serves them all.
+   The LP solves are pure functions of the nodes: each starts from the
+   header's refactored tableau, whatever the domain's scratch tableau
+   last held. *)
+let explore_siblings p lp threshold (nodes : node array) =
+  let live = List.filter (fun nd -> nd.lower < threshold -. 1e-9) (Array.to_list nodes) in
+  let bounds =
+    Array.of_list
+      (List.map
+         (fun nd ->
+           ( Array.map (fun f -> if f = 1 then 1.0 else 0.0) nd.fixed,
+             Array.map (fun f -> if f = 0 then 0.0 else 1.0) nd.fixed ))
+         live)
+  in
+  let results =
+    if bounds = [||] then [||]
+    else
+      Fbb_obs.Span.with_ ~name:"bb.lp_bound" (fun () ->
+          S.reoptimize ?basis:nodes.(0).basis lp bounds)
+  in
+  let k = ref 0 in
+  Array.map
+    (fun nd ->
+      if nd.lower >= threshold -. 1e-9 then Pre_pruned
       else begin
-        (* Most fractional free variable. *)
-        let frac = ref (-1) in
-        let dist = ref 0.0 in
-        Array.iteri
-          (fun k _ ->
-            let v = solution.(k) in
-            let d = Float.min (Float.abs v) (Float.abs (1.0 -. v)) in
-            if d > int_eps && d > !dist then begin
-              dist := d;
-              frac := k
-            end)
-          free;
-        if !frac < 0 then begin
-          (* Integral: candidate incumbent. *)
-          let x = Array.make p.num_vars 0.0 in
-          for i = 0 to p.num_vars - 1 do
-            if node.fixed.(i) >= 0 then x.(i) <- float_of_int node.fixed.(i)
-          done;
-          Array.iteri (fun k i -> x.(i) <- Float.round solution.(k)) free;
-          Integral (x, objective_of p x)
-        end
-        else begin
-          let var = free.(!frac) in
-          let first = if solution.(!frac) >= 0.5 then 1 else 0 in
-          let child v =
-            let fixed = Array.copy node.fixed in
-            fixed.(var) <- v;
-            { fixed; lower = total }
-          in
-          Branched (child first, child (1 - first))
-        end
-      end
-  end
+        let r = results.(!k) in
+        incr k;
+        branch p threshold nd r
+      end)
+    nodes
+
+(* Cut a wave into runs of siblings, in order. *)
+let siblings batch =
+  let same a b =
+    match (a.basis, b.basis) with Some x, Some y -> x == y | _ -> false
+  in
+  let rec go acc run = function
+    | [] -> List.rev (Array.of_list (List.rev run) :: acc)
+    | nd :: rest -> (
+      match run with
+      | prev :: _ when same prev nd -> go acc (nd :: run) rest
+      | [] -> go acc [ nd ] rest
+      | _ :: _ -> go (Array.of_list (List.rev run) :: acc) [ nd ] rest)
+  in
+  match batch with [] -> [] | nd :: rest -> go [] [ nd ] rest
 
 let rec take_batch n frontier =
   if n = 0 then ([], frontier)
@@ -202,7 +195,17 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
     let b = match !best with Some (_, b) -> b | None -> Float.infinity in
     match cutoff with Some c -> Float.min b c | None -> b
   in
-  let root = { fixed = Array.make p.num_vars (-1); lower = Float.neg_infinity } in
+  let lp =
+    S.prepare
+      { S.num_vars = p.num_vars; minimize = p.minimize; constraints = p.constraints; upper = None }
+  in
+  let root =
+    {
+      fixed = Array.make p.num_vars (-1);
+      lower = Float.neg_infinity;
+      basis = None;
+    }
+  in
   let frontier = ref [ root ] in
   let running = ref true in
   while !running && !frontier <> [] do
@@ -220,8 +223,9 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
       let batch, rest = take_batch width !frontier in
       let t = threshold () in
       let outcomes =
-        Fbb_par.Pool.parallel_map ~chunk:1 (Array.of_list batch)
-          ~f:(explore p t)
+        Fbb_par.Pool.parallel_map ~chunk:1 (Array.of_list (siblings batch))
+          ~f:(explore_siblings p lp t)
+        |> Array.to_list |> Array.concat
       in
       let batch_n = Array.length outcomes in
       (* Budget is ticked here, in the sequential wave fold - one unit

@@ -1,8 +1,10 @@
 (** 0-1 integer linear programming by branch and bound.
 
-    LP-relaxation bounds come from {!Fbb_lp.Simplex}; branching is on the
-    most fractional variable, depth-first flavoured, exploring the nearest
-    rounding first. A warm-start incumbent (e.g. from the paper's
+    LP-relaxation bounds come from {!Fbb_lp.Simplex}, over one LP per
+    solve with [0 <= x <= 1] as bounds: a node tightens bounds and
+    re-optimizes warm, with the dual simplex, from its parent's optimal
+    basis. Branching is on the most fractional variable, depth-first
+    flavoured, exploring the nearest rounding first. A warm-start incumbent (e.g. from the paper's
     heuristic) makes pruning effective immediately. Node and wall-clock
     limits reproduce the paper's "ILP did not converge" behaviour on the
     largest designs.
@@ -10,7 +12,9 @@
     The search runs in fixed-width waves: up to 32 open nodes have their
     LP relaxations solved in parallel on the {!Fbb_par.Pool} domain pool,
     then the wave is folded sequentially in node order — incumbent
-    updates, pruning bookkeeping, child ordering. The pruning threshold
+    updates, pruning bookkeeping, child ordering. The two children of a
+    node are solved in one task, sharing one refactor of their parent's
+    basis. The pruning threshold
     (incumbent best folded with [?cutoff]) is frozen at the start of each
     wave, so the set of explored nodes, the node count, the winning
     solution and its deterministic tie-breaking (first node in wave order
@@ -64,8 +68,9 @@ val solve :
     useful when an external search already holds a solution of that
     objective; solutions at or above the cutoff are not reported.
 
-    The whole solve runs inside a [bb.solve] observability span, each
-    LP relaxation inside [bb.lp_bound]; node, prune, incumbent and
+    The whole solve runs inside a [bb.solve] observability span, the LP
+    relaxations of each pair of siblings inside one [bb.lp_bound]; node,
+    prune, incumbent and
     LP-failure events accumulate on the [bb.*] counters (the delta of
     [bb.nodes] over a call equals [result.nodes]). An LP relaxation
     ending in {!Fbb_lp.Simplex.Pivot_limit} abandons that subtree and

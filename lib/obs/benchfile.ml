@@ -8,13 +8,15 @@
    --max-regress 25` fails the job when a gated metric grew beyond the
    threshold.
 
-   Gated metrics are per-experiment wall seconds and the two GC
-   allocation totals. Counters (solver work: B&B nodes, LP pivots) are
-   deterministic, so any drift is reported loudly, but they do not
-   gate - a legitimate algorithmic change moves them and the bench
-   numbers are the place to judge whether that was worth it. Wall
-   seconds gate with both a relative threshold and an absolute floor,
-   so sub-centisecond noise on a fast experiment cannot fail CI. *)
+   Gated metrics are per-experiment wall seconds, the two GC
+   allocation totals and the solver work counters in [work_counters].
+   The bench's phases are bounded by work budgets, never deadlines, so
+   those counters repeat exactly from run to run: they gate at zero
+   tolerance, and any increase regresses. A deliberate algorithmic
+   change re-records the baseline. Other counters are reported but
+   informational. Wall seconds gate with both a relative threshold and
+   an absolute floor, so sub-centisecond noise on a fast experiment
+   cannot fail CI. *)
 
 module Json = Fbb_util.Json
 
@@ -259,6 +261,11 @@ type comparison = {
 let seconds_floor = 0.050
 let words_floor = 1e6
 
+(* Deterministic solver work, gated at zero tolerance. *)
+let work_counters =
+  [ "lp.pivots"; "bb.nodes"; "ilp.subsets_considered";
+    "sta.nodes_repropagated"; "heuristic.moves" ]
+
 let change_pct ~old_v ~new_v =
   if old_v = 0.0 then if new_v = 0.0 then 0.0 else Float.infinity
   else (new_v -. old_v) /. old_v *. 100.0
@@ -300,16 +307,19 @@ let compare ~max_regress_pct old_t new_t =
          "gc:major_words" old_t.gc.Gcprof.major_words
          new_t.gc.Gcprof.major_words)
   end;
-  (* counters: informational - deterministic solver work; drift is
-     visible in the table but does not gate. *)
+  (* counters: the work counters gate on any increase; the rest are
+     informational, visible in the table. *)
   List.iter
     (fun (name, old_c) ->
+      let key = "counter:" ^ name in
+      let gated = List.mem name work_counters in
       match List.assoc_opt name new_t.counters with
       | Some new_c ->
         emit
-          (verdict ~max_regress_pct ~floor:0.0 ~gated:false ("counter:" ^ name)
-             (float_of_int old_c) (float_of_int new_c))
-      | None -> ())
+          (verdict
+             ~max_regress_pct:(if gated then 0.0 else max_regress_pct)
+             ~floor:0.0 ~gated key (float_of_int old_c) (float_of_int new_c))
+      | None -> if gated then missing := key :: !missing)
     old_t.counters;
   { verdicts = List.rev !verdicts; missing = List.rev !missing }
 

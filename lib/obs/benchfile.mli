@@ -5,11 +5,13 @@
     per-span latency statistics with histogram percentiles,
     whole-process GC totals and domain-pool utilization. [compare]
     diffs two records: experiment seconds and GC allocation totals
-    gate (relative threshold plus an absolute noise floor), counters
-    are reported but informational. Files with the older "fbb-bench-1"
-    schema still load — absent sections come back empty and their
-    gates are skipped — and a ["gauges"] section, which older harness
-    runs with live telemetry wrote, is ignored. *)
+    gate (relative threshold plus an absolute noise floor), the
+    deterministic work counters ({!work_counters}) gate on any
+    increase, and other counters are reported but informational. Files
+    with the older "fbb-bench-1" schema still load — absent sections
+    come back empty and their gates are skipped — and a ["gauges"]
+    section, which older harness runs with live telemetry wrote, is
+    ignored. *)
 
 type span_stat = {
   count : int;
@@ -74,12 +76,19 @@ type comparison = {
   missing : string list;  (** gated keys of the old record absent in the new *)
 }
 
+val work_counters : string list
+(** [lp.pivots], [bb.nodes], [ilp.subsets_considered],
+    [sta.nodes_repropagated], [heuristic.moves]: solver work that a
+    work-budgeted bench repeats exactly, so it gates at zero
+    tolerance. *)
+
 val compare : max_regress_pct:float -> t -> t -> comparison
 (** [compare ~max_regress_pct old new_]: a gated metric is [regressed]
     when it grew by more than [max_regress_pct] percent {e and} by
-    more than an absolute noise floor (10 ms for seconds, 1e6 words
-    for GC). Experiments present in [old] but not in [new_] land in
-    [missing]; extra experiments in [new_] are ignored. *)
+    more than an absolute noise floor (50 ms for seconds, 1e6 words
+    for GC); a work counter is [regressed] when it grew at all.
+    Experiments and work counters present in [old] but not in [new_]
+    land in [missing]; extra ones in [new_] are ignored. *)
 
 val regressed : comparison -> bool
 

@@ -250,6 +250,26 @@ let test_ilp_infeasible_beta () =
   Alcotest.(check bool) "no solution" true (r.Ilp.levels = None);
   Alcotest.(check bool) "proved" true r.Ilp.proved_optimal
 
+let test_enumerate_stops_at_budget_trip () =
+  (* A work budget that trips mid-enumeration ends the subset walk:
+     only the subsets actually examined count as considered, and the
+     truncated result claims no proof. *)
+  let p = problem ~beta:0.05 () in
+  let nlev = Problem.num_levels p in
+  let jopt = Option.get (Problem.max_single_level p) in
+  let choose2 k = k * (k - 1) / 2 in
+  let subsets = choose2 nlev - choose2 jopt in
+  let considered = Fbb_obs.Counter.make "ilp.subsets_considered" in
+  let before = Fbb_obs.Counter.read considered in
+  let budget = Fbb_util.Budget.create ~work:3 () in
+  let r = Ilp.optimize ~config:{ Ilp.default_config with budget } p in
+  let delta = Fbb_obs.Counter.read considered - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "considered %d of %d subsets" delta subsets)
+    true
+    (delta >= 1 && delta < subsets);
+  Alcotest.(check bool) "not proved optimal" false r.Ilp.proved_optimal
+
 let test_formulation_shape () =
   let p = problem () in
   let bbp =
@@ -259,9 +279,10 @@ let test_formulation_shape () =
   Alcotest.(check int) "variables = N*P + P"
     ((nrows * nlev) + nlev)
     bbp.Fbb_ilp.Branch_bound.num_vars;
-  (* timing + assignment + linking + budget + y-bounds *)
+  (* timing + assignment + linking + budget; y <= 1 is a variable
+     bound of the B&B LP, not a row *)
   Alcotest.(check int) "constraint count"
-    (Problem.num_paths p + nrows + nlev + 1 + nlev)
+    (Problem.num_paths p + nrows + nlev + 1)
     (List.length bbp.Fbb_ilp.Branch_bound.constraints)
 
 let test_monolithic_reduces_once () =
@@ -548,6 +569,7 @@ let suite =
     ("constraint reduction lossless", `Slow, test_constraint_reduction_lossless);
     ("ilp infeasible beta", `Quick, test_ilp_infeasible_beta);
     ("ilp formulation shape", `Quick, test_formulation_shape);
+    ("ilp enumerate stops at budget trip", `Quick, test_enumerate_stops_at_budget_trip);
     ("monolithic reduces paths once", `Quick, test_monolithic_reduces_once);
     ("rbb recovery valid", `Quick, test_recovery_valid);
     ("rbb recovery monotone in margin", `Quick, test_recovery_monotone_in_margin);

@@ -123,6 +123,42 @@ let test_corpus_replays_clean () =
           (String.concat "; " r.Differential.failures))
     corpus
 
+(* Every corpus case, solved exactly by the subset-enumerating B&B at
+   pool widths 1 and 4: the proved optimum must be the oracle's. *)
+let test_corpus_bb_matches_oracle () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  List.iter
+    (fun (path, (c : Case.t)) ->
+      let p = Case.build c in
+      let max_clusters = c.Case.max_clusters in
+      Alcotest.(check bool) (path ^ ": tractable") true
+        (Oracle.tractable ~max_clusters p);
+      let expected = Oracle.solve ~max_clusters p in
+      List.iter
+        (fun jobs ->
+          let prev = Fbb_par.Pool.jobs () in
+          Fbb_par.Pool.set_jobs jobs;
+          let r =
+            Fun.protect ~finally:(fun () -> Fbb_par.Pool.set_jobs prev) (fun () ->
+                Fbb_core.Ilp_opt.optimize
+                  ~config:{ Fbb_core.Ilp_opt.default_config with max_clusters }
+                  p)
+          in
+          let tag s = Printf.sprintf "%s at jobs %d: %s" path jobs s in
+          Alcotest.(check bool) (tag "proved optimal") true
+            r.Fbb_core.Ilp_opt.proved_optimal;
+          match (expected, r.Fbb_core.Ilp_opt.levels) with
+          | Oracle.Infeasible, None -> ()
+          | Oracle.Optimal opt, Some levels ->
+            let tol = 1e-9 *. Float.max 1.0 opt.Oracle.leakage_nw in
+            Alcotest.(check bool) (tag "optimum matches the oracle") true
+              (Float.abs (Solution.leakage_nw p levels -. opt.Oracle.leakage_nw)
+               <= tol)
+          | Oracle.Infeasible, Some _ | Oracle.Optimal _, None ->
+            Alcotest.fail (tag "feasibility verdict differs from the oracle"))
+        [ 1; 4 ])
+    (Case.load_dir dir)
+
 (* ----- case serialization ----------------------------------------------- *)
 
 let test_case_roundtrip () =
@@ -232,6 +268,7 @@ let suite =
     ("oracle tractability gate", `Quick, test_oracle_tractability_gate);
     ("oracle respects cluster budget", `Quick, test_oracle_respects_budget);
     ("corpus replays clean", `Quick, test_corpus_replays_clean);
+    ("corpus bb optima match the oracle", `Quick, test_corpus_bb_matches_oracle);
     ("case serialization roundtrip", `Quick, test_case_roundtrip);
     ("shrinker minimizes greedily", `Quick, test_shrink_minimizes);
     ("optimum invariant under row reversal", `Quick, test_permutation_invariance);

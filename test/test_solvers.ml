@@ -231,6 +231,118 @@ let test_bb_node_limit () =
   let r = BB.solve ~limits:{ BB.max_nodes = 1; max_seconds = 60.0 } p in
   Alcotest.(check bool) "limited" true (r.BB.nodes <= 2)
 
+(* ----- the bounded simplex on random LPs ------------------------------- *)
+
+(* A random LP that is feasible by construction: x* inside the bounds,
+   every row's rhs derived from A x*, with Le rows given slack above
+   and Ge rows below. Coefficients and costs take both signs; upper
+   bounds are finite or infinite. [kind] then makes it unbounded (a
+   fresh column of negative cost in no row, unbounded above) or
+   infeasible (a row x_0 <= -1 against x_0 >= 0). *)
+let random_lp rng kind =
+  let open Fbb_util in
+  let n = 2 + Rng.int rng 7 in
+  let m = 1 + Rng.int rng 7 in
+  let upper =
+    Array.init n (fun _ ->
+        if Rng.int rng 3 = 0 then Float.infinity else 1.0 +. Rng.float rng 4.0)
+  in
+  let xstar =
+    Array.map
+      (fun u -> if Float.is_finite u then Rng.float rng u else Rng.float rng 5.0)
+      upper
+  in
+  let rows =
+    List.init m (fun _ ->
+        let coeffs = Array.init n (fun _ -> Rng.float rng 6.0 -. 2.0) in
+        let lhs = ref 0.0 in
+        Array.iteri (fun i a -> lhs := !lhs +. (a *. xstar.(i))) coeffs;
+        let terms = Array.to_list (Array.mapi (fun i a -> (i, a)) coeffs) in
+        match Rng.int rng 3 with
+        | 0 -> c terms S.Le (!lhs +. Rng.float rng 2.0)
+        | 1 -> c terms S.Ge (!lhs -. Rng.float rng 2.0)
+        | _ -> c terms S.Eq !lhs)
+  in
+  (* Keep the LP bounded unless asked otherwise: a column with negative
+     cost and no upper bound gets a bounding Le row. *)
+  let minimize = Array.init n (fun _ -> Rng.float rng 10.0 -. 3.0) in
+  let caps =
+    List.filter_map
+      (fun i ->
+        if minimize.(i) < 0.0 && not (Float.is_finite upper.(i)) then
+          Some (c [ (i, 1.0) ] S.Le (xstar.(i) +. 1.0))
+        else None)
+      (List.init n Fun.id)
+  in
+  let base =
+    { S.num_vars = n; minimize; constraints = rows @ caps; upper = Some upper }
+  in
+  let base_obj = ref 0.0 in
+  Array.iteri (fun i ci -> base_obj := !base_obj +. (ci *. xstar.(i))) minimize;
+  match kind with
+  | `Feasible -> (base, !base_obj)
+  | `Unbounded ->
+    ( {
+        S.num_vars = n + 1;
+        minimize = Array.append minimize [| -1.0 |];
+        constraints = base.S.constraints;
+        upper = Some (Array.append upper [| Float.infinity |]);
+      },
+      !base_obj )
+  | `Infeasible ->
+    ({ base with S.constraints = c [ (0, 1.0) ] S.Le (-1.0) :: base.S.constraints }, !base_obj)
+
+let qcheck_random_lps =
+  QCheck.Test.make ~name:"bounded simplex classifies random mixed LPs"
+    ~count:300 (QCheck.int_range 1 1_000_000) (fun seed ->
+      let rng = Fbb_util.Rng.create ~seed in
+      let kind =
+        match Fbb_util.Rng.int rng 4 with
+        | 0 -> `Unbounded
+        | 1 -> `Infeasible
+        | _ -> `Feasible
+      in
+      let p, known = random_lp rng kind in
+      match (kind, S.solve p) with
+      | `Feasible, S.Optimal { objective; solution } ->
+        S.check p solution ~eps:1e-6
+        && objective <= known +. (1e-7 *. Float.max 1.0 (Float.abs known))
+      | `Unbounded, S.Unbounded | `Infeasible, S.Infeasible -> true
+      | _, _ -> false)
+
+(* Branch on one variable of a solved LP the way branch and bound does
+   and re-optimize both children from the optimal basis in one call
+   (one shared refactor): each must agree with a cold solve under the
+   same bounds. *)
+let qcheck_warm_matches_cold =
+  QCheck.Test.make ~name:"warm re-optimization matches a cold solve"
+    ~count:300 (QCheck.int_range 1 1_000_000) (fun seed ->
+      let rng = Fbb_util.Rng.create ~seed in
+      let p, _ = random_lp rng `Feasible in
+      let n = p.S.num_vars in
+      let lp = S.prepare p in
+      let lower = Array.make n 0.0 in
+      let upper = Option.get p.S.upper in
+      match S.reoptimize lp [| (lower, upper) |] with
+      | [| (S.Optimal { solution; _ }, Some basis) |] ->
+        let j = Fbb_util.Rng.int rng n in
+        let split = Float.floor solution.(j) in
+        let down = Array.copy upper and up = Array.copy lower in
+        down.(j) <- split;
+        up.(j) <- split +. 1.0;
+        let children = [| (lower, down); (up, upper) |] in
+        let warm = S.reoptimize ~basis lp children in
+        Array.for_all2
+          (fun (w, _) child ->
+            match (w, fst (S.reoptimize lp [| child |]).(0)) with
+            | S.Optimal w, S.Optimal c ->
+              Float.abs (w.objective -. c.objective)
+              <= 1e-9 *. Float.max 1.0 (Float.abs c.objective)
+            | S.Infeasible, S.Infeasible -> true
+            | _, _ -> false)
+          warm children
+      | _ -> false)
+
 let suite =
   [
     ("lp max basic", `Quick, test_lp_max_basic);
@@ -249,4 +361,6 @@ let suite =
     ("bb cutoff", `Quick, test_bb_cutoff);
     ("bb node limit", `Quick, test_bb_node_limit);
     ("bb counters match result", `Quick, test_bb_counters_match_result);
+    QCheck_alcotest.to_alcotest qcheck_random_lps;
+    QCheck_alcotest.to_alcotest qcheck_warm_matches_cold;
   ]

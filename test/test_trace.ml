@@ -423,6 +423,24 @@ let test_compare_gc_gate () =
        (Obs.Benchfile.compare ~max_regress_pct:25.0 (bench [] [])
           (bench ~gc:(gc 1e8) [] [])))
 
+let test_compare_work_gate () =
+  let cmp old_c new_c =
+    Obs.Benchfile.compare ~max_regress_pct:25.0 (bench [] old_c)
+      (bench [] new_c)
+  in
+  Alcotest.(check bool) "one more pivot regresses" true
+    (Obs.Benchfile.regressed
+       (cmp [ ("lp.pivots", 1000) ] [ ("lp.pivots", 1001) ]));
+  Alcotest.(check bool) "fewer pivots pass" false
+    (Obs.Benchfile.regressed
+       (cmp [ ("lp.pivots", 1000) ] [ ("lp.pivots", 400) ]));
+  Alcotest.(check bool) "informational counters never gate" false
+    (Obs.Benchfile.regressed
+       (cmp [ ("lp.solves", 10) ] [ ("lp.solves", 1000) ]));
+  Alcotest.(check (list string)) "a vanished work counter is missing"
+    [ "counter:bb.nodes" ]
+    (cmp [ ("bb.nodes", 5) ] []).Obs.Benchfile.missing
+
 let test_benchfile_load_errors () =
   let is_err = function Error _ -> true | Ok _ -> false in
   let tmp content =
@@ -465,5 +483,6 @@ let suite =
     ("bench-compare regression", `Quick, test_compare_regression);
     ("bench-compare missing key", `Quick, test_compare_missing_key);
     ("bench-compare gc gate", `Quick, test_compare_gc_gate);
+    ("bench-compare work gate", `Quick, test_compare_work_gate);
     ("benchfile load errors", `Quick, test_benchfile_load_errors);
   ]
